@@ -1,6 +1,6 @@
 // E14 -- Ablation of the geometry engines: the three point-to-hull distance
 // paths (Wolfe exact L2, LP exact L1/Linf, Frank-Wolfe iterative), the
-// delta* paths (closed-form inradius vs LP bisection vs minimax), and the
+// delta* paths (closed-form inradius vs LP bisection vs cutting planes), and the
 // Psi encodings (halfplane fast path vs barycentric lambda-LP). Accuracy
 // agreement is printed first; timings follow.
 #include "bench_util.h"
@@ -77,23 +77,23 @@ void report() {
   }
 
   {
-    rbvc::bench::Table t({"d", "inradius (closed form)",
-                          "minimax (numerical)", "rel err"});
+    rbvc::bench::Table t({"d", "inradius (closed form)", "lower", "upper",
+                          "certified gap", "iters", "inradius in bracket"});
     Rng rng(66);
-    for (std::size_t d : {3u, 5u, 7u}) {
+    for (std::size_t d : {3u, 5u, 7u, 12u}) {
       const auto s = workload::random_simplex(rng, d);
       const auto g = SimplexGeometry::build(s);
-      MinimaxOptions opts;
-      opts.iters = 2000;
-      opts.polish_iters = 400;
-      const auto mm = min_max_hull_distance(drop_f_subsets(s, 1), mean(s),
-                                            opts);
-      t.add_row({std::to_string(d), rbvc::bench::Table::num(g->inradius()),
+      const auto mm = min_max_hull_distance(drop_f_subsets(s, 1), mean(s));
+      const double r = g->inradius();
+      const bool inside = mm.lower <= r * (1.0 + 1e-9) &&
+                          r <= mm.value * (1.0 + 1e-9);
+      t.add_row({std::to_string(d), rbvc::bench::Table::num(r),
+                 rbvc::bench::Table::num(mm.lower),
                  rbvc::bench::Table::num(mm.value),
-                 rbvc::bench::Table::num(
-                     std::abs(mm.value - g->inradius()) / g->inradius())});
+                 rbvc::bench::Table::num((mm.value - mm.lower) / mm.value),
+                 std::to_string(mm.iters), inside ? "yes" : "NO"});
     }
-    t.print("delta* closed form vs numerical minimax");
+    t.print("delta* closed form vs cutting planes (f=1, forced numerical)");
   }
 
   {

@@ -33,10 +33,7 @@ void report() {
       for (int rep = 0; rep < reps; ++rep) {
         const auto s = workload::random_simplex(local, d);
         const auto d2 = delta_star_2(s, 1);
-        MinimaxOptions opts;
-        opts.iters = 600;
-        opts.polish_iters = 150;
-        const auto dp = delta_star_p(s, 1, p, kTol, opts);
+        const auto dp = delta_star_p(s, 1, p);
         sum_p += dp.value;
         sum_2 += d2.value;
         // Theorem 14: delta*_p < d^(1/2-1/p) kappa maxedge_p with
@@ -71,11 +68,8 @@ void BM_DeltaStarByNorm(benchmark::State& state) {
   const auto s = workload::random_simplex(rng, 4);
   const double p = state.range(0) == 0 ? kInfNorm
                                        : static_cast<double>(state.range(0));
-  MinimaxOptions opts;
-  opts.iters = 300;
-  opts.polish_iters = 50;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(delta_star_p(s, 1, p, kTol, opts).value);
+    benchmark::DoNotOptimize(delta_star_p(s, 1, p).value);
   }
 }
 BENCHMARK(BM_DeltaStarByNorm)->Arg(1)->Arg(2)->Arg(3)->Arg(0);

@@ -3,7 +3,7 @@
 namespace rbvc::consensus {
 
 protocols::DecisionFn algo_decision(std::size_t f, double tol,
-                                    MinimaxOptions opts) {
+                                    DeltaStarOptions opts) {
   // The lambda may be shared across concurrently-executing episodes, so it
   // picks up the executing thread's workspace rather than capturing one.
   return [f, tol, opts](const std::vector<Vec>& s) -> Vec {

@@ -59,9 +59,6 @@ class AsyncAveragingProcess : public sim::AsyncProcess {
     // harness to find and minimize. Production runs leave it 0.
     std::size_t quorum_override = 0;
     double tol = kTol;
-    // Deterministic minimax budget (identical at sender and verifier, so
-    // recomputation matches bit-for-bit; accuracy only affects delta).
-    MinimaxOptions minimax{600, 200, kTol, 2.0};
   };
 
   AsyncAveragingProcess(Params prm, protocols::ProcessId self, Vec input);

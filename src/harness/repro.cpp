@@ -157,7 +157,8 @@ std::string common_tail(const std::vector<std::size_t>& byzantine,
 }
 
 // ---------------------------------------------------------------------------
-// Async experiment fields (the v1 key set, unchanged).
+// Async experiment fields (the v1 key set; the retired `minimax` line is
+// still read, no longer written).
 // ---------------------------------------------------------------------------
 
 std::string async_fields(const workload::AsyncExperiment& e) {
@@ -169,10 +170,6 @@ std::string async_fields(const workload::AsyncExperiment& e) {
   out += "use_witness " + std::to_string(e.prm.use_witness ? 1 : 0) + "\n";
   out += "quorum_override " + std::to_string(e.prm.quorum_override) + "\n";
   out += "tol " + fmt_double(e.prm.tol) + "\n";
-  out += "minimax " + std::to_string(e.prm.minimax.iters) + " " +
-         std::to_string(e.prm.minimax.polish_iters) + " " +
-         fmt_double(e.prm.minimax.tol) + " " + fmt_double(e.prm.minimax.p) +
-         "\n";
   out += "d " + std::to_string(e.d) + "\n";
   out += "strategy " + std::to_string(static_cast<int>(e.strategy)) + "\n";
   out += "scheduler " + std::to_string(static_cast<int>(e.scheduler)) + "\n";
@@ -200,12 +197,10 @@ bool async_field(workload::AsyncExperiment& e, const std::string& key,
   } else if (key == "tol") {
     e.prm.tol = parse_doubles(val).at(0);
   } else if (key == "minimax") {
-    const auto fields = parse_doubles(val);
-    RBVC_REQUIRE(fields.size() == 4, "async repro: bad minimax line");
-    e.prm.minimax.iters = static_cast<std::size_t>(fields[0]);
-    e.prm.minimax.polish_iters = static_cast<std::size_t>(fields[1]);
-    e.prm.minimax.tol = fields[2];
-    e.prm.minimax.p = fields[3];
+    // Older files carry the retired first-order solver's budget; delta* no
+    // longer takes one, so the line is checked and ignored.
+    RBVC_REQUIRE(parse_doubles(val).size() == 4,
+                 "async repro: bad minimax line");
   } else if (key == "d") {
     e.d = static_cast<std::size_t>(parse_u64(val));
   } else if (key == "strategy") {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "geometry/hull.h"
-#include "opt/pocs.h"
 
 namespace rbvc {
 
@@ -88,18 +87,6 @@ std::optional<Vec> gamma_delta_point_linear(const std::vector<Vec>& y,
   RBVC_REQUIRE(delta >= 0.0, "gamma_delta_point_linear: delta must be >= 0");
   GammaDeltaProbe probe(y, f, p, tol, ws);
   return probe.probe(delta);
-}
-
-std::optional<Vec> gamma_delta2_point(const std::vector<Vec>& y, std::size_t f,
-                                      double delta, double tol) {
-  const auto subsets = drop_f_subsets(y, f);
-  std::optional<Vec> p = pocs_point_within(subsets, delta, mean(y));
-  if (!p) return std::nullopt;
-  // POCS tolerance is loose; accept only genuine witnesses.
-  if (gamma_excess(*p, y, f, 2.0, tol) > delta + kLooseTol * 10.0) {
-    return std::nullopt;
-  }
-  return p;
 }
 
 double gamma_excess(const Vec& u, const std::vector<Vec>& y, std::size_t f,

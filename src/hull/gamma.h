@@ -31,11 +31,6 @@ std::optional<Vec> gamma_delta_point_linear(
     const std::vector<Vec>& y, std::size_t f, double delta, double p,
     double tol = kTol, GeometryWorkspace& ws = GeometryWorkspace::local());
 
-/// A point of Gamma_(delta,2)(Y) via cyclic projections seeded at the
-/// centroid; nullopt when no witness was found (empty or budget exhausted).
-std::optional<Vec> gamma_delta2_point(const std::vector<Vec>& y, std::size_t f,
-                                      double delta, double tol = kTol);
-
 /// max_i dist_p(u, H(T_i)) over the size-(|Y|-f) sub-multisets: u lies in
 /// Gamma_(delta,p)(Y) iff this is <= delta. For p in {1, inf} the per-subset
 /// distance LPs share one warm-started solver (same shape, basis reuse).

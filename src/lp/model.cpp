@@ -98,6 +98,9 @@ Solution Model::translate_back(const Solution& raw) const {
     out.x[v] = raw.x[lowered_.col_of[v]];
     if (free_[v]) out.x[v] -= raw.x[lowered_.neg_col_of[v]];
   }
+  // Standard-form rows map 1:1 onto model rows.
+  out.duals = raw.duals;
+  for (double& y : out.duals) y *= obj_sign;
   return out;
 }
 

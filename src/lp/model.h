@@ -61,8 +61,9 @@ class Model {
   std::size_t num_vars() const { return free_.size(); }
   std::size_t num_constraints() const { return rels_.size(); }
 
-  /// Lowers to standard form and solves. `objective` in the result is in the
-  /// model's sense (i.e. negated back for maximization).
+  /// Lowers to standard form and solves. `objective` and `duals` in the
+  /// result are in the model's sense (negated back for maximization);
+  /// duals[row] is the objective's derivative with respect to rhs[row].
   Solution solve(const SimplexOptions& opts = {}) const;
 
   /// Cold solve through an IncrementalSolver (uses the solver's options and

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "linalg/lu.h"
 #include "obs/metrics.h"
@@ -75,6 +76,7 @@ class Tableau {
   // artificial one: factorizes the basis columns and forms B^{-1}[A | I | b]
   // plus the phase-2 reduced-cost row. Returns false (leaving the tableau
   // unusable until the next init) when the basis is numerically singular.
+  // The pivot count carries on from before the rebuild.
   bool init_from_basis(const Matrix& a, const Vec& b, const Vec& c,
                        const std::vector<std::size_t>& basis,
                        const SimplexOptions& opts) {
@@ -83,7 +85,6 @@ class Tableau {
     m_ = a.rows();
     total_ = n_ + m_;
     rows_dropped_ = false;
-    pivots_ = 0;
     basis_ = basis;
     signs_.assign(m_, 1.0);
     Matrix bmat(m_, m_);
@@ -256,6 +257,15 @@ class Tableau {
     rows_dropped_ = true;
   }
 
+  // Row multipliers y = c_B B^{-1}: the artificial columns start as the
+  // sign-scaled identity with zero phase-2 cost, so their reduced costs
+  // read -signs[i] * y[i]. Only valid while no row was dropped.
+  Vec duals() const {
+    Vec y(m_);
+    for (std::size_t i = 0; i < m_; ++i) y[i] = -signs_[i] * cost2_[n_ + i];
+    return y;
+  }
+
   Vec extract_x() const {
     Vec x(n_, 0.0);
     for (std::size_t i = 0; i < rows_.size(); ++i) {
@@ -362,8 +372,70 @@ Solution solve_empty(std::size_t n, const Vec& c, const SimplexOptions& opts) {
   return sol;
 }
 
+// True when x >= 0 satisfies A x = b, each row to a tolerance scaled by the
+// magnitude of its terms.
+bool satisfies_rows(const Matrix& a, const Vec& b, const Vec& x,
+                    const SimplexOptions& opts) {
+  const double feas = opts.tol * 1e3;
+  double xmax = 1.0;
+  for (double v : x) xmax = std::max(xmax, std::abs(v));
+  for (double v : x) {
+    if (v < -feas * xmax) return false;
+  }
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double acc = 0.0;
+    double mag = std::max(1.0, std::abs(b[i]));
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      const double v = a(i, j) * x[j];
+      acc += v;
+      mag = std::max(mag, std::abs(v));
+    }
+    if (std::abs(acc - b[i]) > feas * mag) return false;
+  }
+  return true;
+}
+
+// Finishes a tableau rebuilt by init_from_basis: primal pivots when the
+// basis is still primal feasible, dual pivots when only dual feasibility
+// survived, nullopt when neither did.
+std::optional<Status> finish_from_basis(Tableau& t, const SimplexOptions& opts) {
+  bool primal_ok = true;
+  for (std::size_t i = 0; i < t.rows() && primal_ok; ++i) {
+    if (t.rhs(i) < -opts.tol * 10.0) primal_ok = false;
+  }
+  if (primal_ok) return t.run_phase(t.cost2(), /*allow_artificials=*/false);
+  for (std::size_t j = 0; j < t.cols(); ++j) {
+    if (t.cost2()[j] < -opts.tol * 10.0) return std::nullopt;
+  }
+  return t.run_dual();
+}
+
+// Reads the optimum off a tableau whose phase 2 ended kOptimal, after
+// checking x against the original rows. On a violation the final basis is
+// refactorized and pivoting resumes once; returns false (sol untouched)
+// when that does not give a point that satisfies the rows.
+bool take_optimum(Tableau& t, const Matrix& a, const Vec& b, const Vec& c,
+                  const SimplexOptions& opts, Solution& sol) {
+  Vec x = t.extract_x();
+  if (!satisfies_rows(a, b, x, opts)) {
+    obs::global().counter("lp.status.residual_fail").inc();
+    if (t.rows_dropped()) return false;
+    const std::vector<std::size_t> basis = t.basis();
+    if (!t.init_from_basis(a, b, c, basis, opts)) return false;
+    if (finish_from_basis(t, opts) != Status::kOptimal) return false;
+    x = t.extract_x();
+    if (!satisfies_rows(a, b, x, opts)) return false;
+  }
+  sol.status = Status::kOptimal;
+  sol.objective = t.phase2_objective();
+  sol.x = std::move(x);
+  if (!t.rows_dropped()) sol.duals = t.duals();
+  return true;
+}
+
 // Runs the full two-phase solve on an init()-ed tableau.
-Solution run_cold(Tableau& t, const Vec& b, const SimplexOptions& opts) {
+Solution run_cold(Tableau& t, const Matrix& a, const Vec& b, const Vec& c,
+                  const SimplexOptions& opts) {
   Solution sol;
   const Status p1 = t.run_phase(t.cost1(), /*allow_artificials=*/true);
   if (p1 == Status::kIterLimit) {
@@ -381,9 +453,8 @@ Solution run_cold(Tableau& t, const Vec& b, const SimplexOptions& opts) {
 
   const Status p2 = t.run_phase(t.cost2(), /*allow_artificials=*/false);
   sol.status = p2;
-  if (p2 == Status::kOptimal) {
-    sol.objective = t.phase2_objective();
-    sol.x = t.extract_x();
+  if (p2 == Status::kOptimal && !take_optimum(t, a, b, c, opts, sol)) {
+    sol.status = Status::kIterLimit;
   }
   return sol;
 }
@@ -411,7 +482,7 @@ Solution solve_standard(const Matrix& a, const Vec& b, const Vec& c,
 
   Tableau t;
   t.init(a, b, c, opts);
-  Solution sol = run_cold(t, b, opts);
+  Solution sol = run_cold(t, a, b, c, opts);
   record_outcome(sol, t.pivots());
   return sol;
 }
@@ -438,7 +509,7 @@ Solution IncrementalSolver::cold(const Matrix& a, const Vec& b, const Vec& c,
   if (a.rows() == 0) return solve_empty(a.cols(), c, opts_);
   if (!tab_) tab_ = std::make_unique<Tableau>();
   tab_->init(a, b, c, opts_);
-  Solution sol = run_cold(*tab_, b, opts_);
+  Solution sol = run_cold(*tab_, a, b, c, opts_);
   record_outcome(sol, tab_->pivots());
   // Warm-eligible only from a clean optimum with the full row set intact
   // (deleted redundant rows break the B^{-1} readout and the row/b
@@ -473,13 +544,12 @@ Solution IncrementalSolver::resolve_rhs(const Vec& b) {
     // fall back to a trusted cold solve.
     return cold(a_, b, c_, "iter_limit");
   }
-  reg.counter("lp.warm.hits").inc();
   Solution sol;
   sol.status = st;
-  if (st == Status::kOptimal) {
-    sol.objective = tab_->phase2_objective();
-    sol.x = tab_->extract_x();
+  if (st == Status::kOptimal && !take_optimum(*tab_, a_, b, c_, opts_, sol)) {
+    return cold(a_, b, c_, "residual");
   }
+  reg.counter("lp.warm.hits").inc();
   // Both outcomes leave a dual-feasible tableau behind: stay warm.
   record_outcome(sol, dual_pivots);
   return sol;
@@ -504,37 +574,21 @@ Solution IncrementalSolver::resolve(const Matrix& a, const Vec& b,
   if (!tab_->init_from_basis(a, b, c, basis, opts_)) {
     return cold(a, b, c, "singular_basis");
   }
-  // The reused basis can lose either feasibility through the swap; pick
-  // the finishing method by which one survived. Primal feasibility: all
-  // basic values >= -tol. Dual feasibility: all reduced costs >= -tol.
-  bool primal_ok = true;
-  for (std::size_t i = 0; i < tab_->rows() && primal_ok; ++i) {
-    if (tab_->rhs(i) < -opts_.tol * 10.0) primal_ok = false;
-  }
-  bool dual_ok = true;
-  for (std::size_t j = 0; j < tab_->cols() && dual_ok; ++j) {
-    if (tab_->cost2()[j] < -opts_.tol * 10.0) dual_ok = false;
-  }
-
+  // The reused basis can lose either feasibility through the swap; the
+  // finishing method follows whichever one survived.
   const std::size_t pivots_before = tab_->pivots();
-  Status st;
-  if (primal_ok) {
-    st = tab_->run_phase(tab_->cost2(), /*allow_artificials=*/false);
-  } else if (dual_ok) {
-    st = tab_->run_dual();
-  } else {
-    return cold(a, b, c, "basis_infeasible");
-  }
+  const std::optional<Status> finished = finish_from_basis(*tab_, opts_);
+  if (!finished) return cold(a, b, c, "basis_infeasible");
+  const Status st = *finished;
   const std::size_t warm_pivots = tab_->pivots() - pivots_before;
   reg.counter("lp.warm.dual_pivots").inc(warm_pivots);
   if (st == Status::kIterLimit) return cold(a, b, c, "iter_limit");
-  reg.counter("lp.warm.hits").inc();
   Solution sol;
   sol.status = st;
-  if (st == Status::kOptimal) {
-    sol.objective = tab_->phase2_objective();
-    sol.x = tab_->extract_x();
+  if (st == Status::kOptimal && !take_optimum(*tab_, a, b, c, opts_, sol)) {
+    return cold(a, b, c, "residual");
   }
+  reg.counter("lp.warm.hits").inc();
   // Optimal leaves a dual-feasible optimum; a dual-simplex infeasibility
   // verdict also leaves a dual-feasible tableau. Unbounded does not.
   warm_ok_ = st == Status::kOptimal || st == Status::kInfeasible;

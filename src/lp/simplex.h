@@ -18,6 +18,12 @@
 // retained basis against the new columns. Both fall back to a full cold
 // solve when the retained state is unusable, recording the reason in the
 // lp.warm.fallback.<reason> counters (see docs/OBSERVABILITY.md).
+//
+// Every kOptimal verdict is checked against the original rows first (the
+// dense tableau accumulates roundoff across pivots and can drift off its
+// own constraints). On a violation the final basis is refactorized with LU
+// and pivoting resumes; a solve that still violates its rows reports
+// kIterLimit. Both outcomes count under lp.status.residual_fail.
 #pragma once
 
 #include <memory>
@@ -45,6 +51,11 @@ struct Solution {
   Status status = Status::kIterLimit;
   double objective = 0.0;
   Vec x;  // primal values for the original variables (empty unless optimal)
+  // Row multipliers read off the final tableau: duals[i] approximates the
+  // derivative of the optimal objective with respect to b[i]. Unlike x they
+  // are not checked against the problem, so they serve as a hint, not a
+  // certificate. Empty unless optimal with no redundant row deleted.
+  Vec duals;
 };
 
 /// Solves the standard-form LP above. A is m-by-n, b is m, c is n.

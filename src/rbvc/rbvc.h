@@ -29,9 +29,6 @@
 #include "geometry/simplex_geometry.h"
 #include "geometry/tverberg.h"
 
-#include "opt/minimax.h"
-#include "opt/pocs.h"
-
 #include "hull/delta_star.h"
 #include "hull/gamma.h"
 #include "hull/psi.h"

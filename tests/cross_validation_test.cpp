@@ -97,15 +97,15 @@ TEST(CrossValidationCaratheodory, SupportAgreesWithLp) {
 }
 
 TEST(CrossValidationDeltaStar, ThreeEnginesOneSimplex) {
-  // Closed form (inradius), LP bisection (Linf scaled), and minimax all
-  // describe delta* of the same simplex consistently.
+  // Closed form (inradius), LP bisection (Linf scaled), and cutting planes
+  // all describe delta* of the same simplex consistently.
   Rng rng(1229);
   const auto s = workload::random_simplex(rng, 3);
   const double exact = delta_star_2(s, 1).value;
   const double numeric =
       min_max_hull_distance(drop_f_subsets(s, 1), mean(s)).value;
   const double linf = delta_star_linear(s, 1, kInfNorm).value;
-  EXPECT_NEAR(exact, numeric, exact * 0.03);
+  EXPECT_NEAR(exact, numeric, exact * 1e-6);
   EXPECT_LE(linf, exact + 1e-9);                       // norm ordering
   EXPECT_GE(std::sqrt(3.0) * linf + 1e-9, exact);      // equivalence
 }

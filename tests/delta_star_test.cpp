@@ -68,14 +68,87 @@ TEST(DeltaStarTest, SubspaceSimplexHandledExactly) {
 }
 
 TEST(DeltaStarTest, NumericalPathMatchesExactOnSimplex) {
-  // Force the numerical path by asking for f = 1 on a simplex through the
-  // generic minimax (compare delta_star_2's closed form with the minimax).
+  // Force the numerical path by running the cutting-plane engine on a
+  // simplex with f = 1 (compare delta_star_2's closed form with it).
   Rng rng(251);
   const auto s = workload::random_simplex(rng, 3);
   const auto exact = delta_star_2(s, 1);
-  const MinimaxResult mm =
-      min_max_hull_distance(drop_f_subsets(s, 1), mean(s));
-  EXPECT_NEAR(mm.value, exact.value, exact.value * 0.02);
+  const MinMaxResult mm = min_max_hull_distance(drop_f_subsets(s, 1), mean(s));
+  ASSERT_TRUE(mm.certified);
+  EXPECT_NEAR(mm.value, exact.value, exact.value * 1e-6);
+  EXPECT_LE(mm.lower, exact.value * (1.0 + 1e-9));
+}
+
+// Lemma 13 on higher-dimensional simplices, where the retired first-order
+// solver was off by +34% to +119% (d = 7) and +81% (d = 12).
+TEST(DeltaStarTest, CuttingPlanesMatchInradiusInHighDimension) {
+  for (std::size_t d : {7u, 12u}) {
+    Rng rng(66);
+    const auto s = workload::random_simplex(rng, d);
+    const auto g = SimplexGeometry::build(s);
+    ASSERT_TRUE(g.has_value());
+    const MinMaxResult mm =
+        min_max_hull_distance(drop_f_subsets(s, 1), mean(s));
+    EXPECT_TRUE(mm.certified) << "d=" << d;
+    EXPECT_NEAR(mm.value, g->inradius(), 1e-6 * g->inradius()) << "d=" << d;
+    EXPECT_LE(mm.lower, g->inradius() * (1.0 + 1e-9)) << "d=" << d;
+  }
+}
+
+// Theorem 12's tight instance: every vertex of a simplex repeated f times.
+// delta* is the inradius of the distinct vertices (dropping both copies of
+// a vertex leaves its opposite facet).
+TEST(DeltaStarTest, DuplicatedSimplexMatchesInradius) {
+  Rng rng(277);
+  for (std::size_t d : {3u, 5u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto s = workload::duplicated_simplex(rng, d, 2);
+      std::vector<Vec> verts;
+      for (std::size_t i = 0; i < s.size(); i += 2) verts.push_back(s[i]);
+      const auto g = SimplexGeometry::build(verts);
+      ASSERT_TRUE(g.has_value());
+      const auto r = delta_star_2(s, 2);
+      EXPECT_EQ(r.method, DeltaStarResult::Method::kNumerical);
+      EXPECT_TRUE(r.exact) << "d=" << d << " rep=" << rep;
+      EXPECT_NEAR(r.value, g->inradius(), 1e-6 * g->inradius())
+          << "d=" << d << " rep=" << rep;
+      EXPECT_LE(r.lower, r.value);
+    }
+  }
+}
+
+// Conjecture 1 inputs (3f+1 <= n < (d+1)f): the bracket closes and the
+// witness achieves the upper end.
+TEST(DeltaStarTest, CertifiedBracketOnConjectureOneClouds) {
+  Rng rng(281);
+  for (int rep = 0; rep < 8; ++rep) {
+    const std::size_t d = rep % 2 ? 5 : 3;
+    const auto s = workload::gaussian_cloud(rng, 7, d);
+    const auto r = delta_star_2(s, 2);
+    if (r.method != DeltaStarResult::Method::kNumerical) continue;
+    EXPECT_TRUE(r.exact) << "rep " << rep;
+    EXPECT_LE(r.lower, r.value);
+    EXPECT_LE(r.value - r.lower, 1e-6 * r.value) << "rep " << rep;
+    EXPECT_LE(gamma_excess(r.point, s, 2, 2.0), r.value * (1.0 + 1e-9))
+        << "rep " << rep;
+  }
+}
+
+// Verification by recomputation (async averaging) needs bit-identical
+// results across calls and regardless of the workspace used.
+TEST(DeltaStarTest, NumericalPathIsBitIdenticalAcrossWorkspaces) {
+  Rng rng(283);
+  const auto s = workload::gaussian_cloud(rng, 7, 5);
+  const auto a = delta_star_2(s, 2);
+  const auto b = delta_star_2(s, 2);
+  GeometryWorkspace fresh;
+  const auto c = delta_star_2(s, 2, kTol, {}, fresh);
+  ASSERT_EQ(a.method, DeltaStarResult::Method::kNumerical);
+  for (const DeltaStarResult* r : {&b, &c}) {
+    EXPECT_EQ(a.value, r->value);
+    EXPECT_EQ(a.lower, r->lower);
+    EXPECT_EQ(a.point, r->point);
+  }
 }
 
 TEST(DeltaStarTest, LinearBisectionConsistent) {

@@ -6,8 +6,12 @@
 
 #include <cmath>
 
+#include "geometry/distance.h"
+#include "hull/relaxed_hull.h"
+#include "linalg/qr.h"
 #include "lp/model.h"
 #include "sim/rng.h"
+#include "workload/generators.h"
 
 namespace rbvc::lp {
 namespace {
@@ -159,6 +163,109 @@ TEST(LpFuzzTest, RowPermutationInvariance) {
     if (a.status == Status::kOptimal) {
       EXPECT_NEAR(a.objective, b.objective, 1e-7) << "rep " << rep;
     }
+  }
+}
+
+// A Kelley cutting-plane master: min t over free p in a box, with rows
+// s_k.p - t <= r_k. The optimum must satisfy every row and equal the largest
+// cut at the returned point.
+struct KelleyMaster {
+  std::vector<Vec> s;
+  Vec r;
+  Vec lo, hi;
+
+  // Solves the master and checks its optimum; returns the optimal p (empty
+  // when the solve failed).
+  Vec solve_checked(const std::string& what) const {
+    const std::size_t d = lo.size();
+    Model m;
+    const Model::VarId p0 = m.add_vars(d, 0.0, /*free=*/true);
+    const Model::VarId t = m.add_var(1.0);
+    for (std::size_t k = 0; k < s.size(); ++k) {
+      std::vector<Model::Term> terms;
+      for (std::size_t j = 0; j < d; ++j) terms.push_back({p0 + j, s[k][j]});
+      terms.push_back({t, -1.0});
+      m.add_constraint(terms, Rel::kLe, r[k]);
+    }
+    for (std::size_t j = 0; j < d; ++j) {
+      m.add_constraint({{p0 + j, 1.0}}, Rel::kLe, hi[j]);
+      m.add_constraint({{p0 + j, 1.0}}, Rel::kGe, lo[j]);
+    }
+    const Solution sol = m.solve();
+    EXPECT_EQ(sol.status, Status::kOptimal) << what;
+    if (sol.status != Status::kOptimal) return {};
+    const Vec p(sol.x.begin(), sol.x.begin() + static_cast<std::ptrdiff_t>(d));
+    double top = 0.0;
+    for (std::size_t k = 0; k < s.size(); ++k) {
+      const double row = dot(s[k], p) - r[k];
+      EXPECT_LE(row, sol.x[t] + 1e-7) << what << ": cut row " << k;
+      top = std::max(top, row);
+    }
+    EXPECT_NEAR(sol.objective, top, 1e-7) << what;
+    for (std::size_t j = 0; j < d; ++j) {
+      EXPECT_GE(p[j], lo[j] - 1e-7) << what;
+      EXPECT_LE(p[j], hi[j] + 1e-7) << what;
+    }
+    return p;
+  }
+};
+
+// Grows a master the way the delta* engine does: the Wolfe cuts of every
+// drop-f hull at the cloud's centroid, then at each master's optimum.
+void grow_kelley_masters(const std::vector<Vec>& pts, std::size_t f,
+                         int solves) {
+  const std::size_t d = pts.front().size();
+  const auto sets = drop_f_subsets(pts, f);
+  KelleyMaster km;
+  km.lo = pts.front();
+  km.hi = pts.front();
+  for (const Vec& v : pts) {
+    for (std::size_t j = 0; j < d; ++j) {
+      km.lo[j] = std::min(km.lo[j], v[j]);
+      km.hi[j] = std::max(km.hi[j], v[j]);
+    }
+  }
+  Vec p = mean(pts);
+  for (int it = 0; it < solves && !p.empty(); ++it) {
+    for (const auto& h : sets) {
+      const HullProjection pr = project_to_hull(p, h);
+      if (pr.distance <= 0.0) continue;
+      Vec g = sub(p, pr.point);
+      for (double& v : g) v /= pr.distance;
+      km.r.push_back(dot(g, p) - pr.distance);
+      km.s.push_back(std::move(g));
+    }
+    p = km.solve_checked("solve " + std::to_string(it + 1) + " (" +
+                         std::to_string(km.s.size()) + " cuts)");
+  }
+}
+
+// Regression: on this Conjecture 1 cloud (n = 7, d = 5, f = 2, in its span
+// frame) the dense tableau used to drift through the 4th master's pivots
+// and report kOptimal with a cut row violated by 0.038.
+TEST(LpFuzzTest, KelleyMasterReproducerSatisfiesRows) {
+  Rng rng(852);
+  std::vector<Vec> cloud;
+  for (int i = 0; i < 28; ++i) cloud = workload::gaussian_cloud(rng, 7, 5);
+  std::vector<Vec> diffs;
+  for (std::size_t i = 0; i + 1 < cloud.size(); ++i) {
+    diffs.push_back(sub(cloud[i], cloud.back()));
+  }
+  const auto basis = orthonormal_basis(diffs, 1e-9);
+  std::vector<Vec> coords;
+  for (const Vec& v : cloud) {
+    coords.push_back(coords_in_basis(basis, sub(v, cloud.back())));
+  }
+  grow_kelley_masters(coords, 2, 6);
+  grow_kelley_masters(cloud, 2, 6);  // ambient frame: drifted by 4.5e-4
+}
+
+TEST(LpFuzzTest, KelleyShapedMastersSatisfyRows) {
+  Rng rng(1423);
+  for (int rep = 0; rep < 12; ++rep) {
+    SCOPED_TRACE("rep " + std::to_string(rep));
+    const std::size_t d = rep % 2 ? 5 : 3;
+    grow_kelley_masters(workload::gaussian_cloud(rng, 7, d), 2, 5);
   }
 }
 

@@ -1,8 +1,9 @@
-#include "opt/minimax.h"
-
+// The cutting-plane min-max engine behind delta*'s numerical path
+// (min_max_hull_distance in hull/delta_star.h).
 #include <gtest/gtest.h>
 
 #include "geometry/simplex_geometry.h"
+#include "hull/delta_star.h"
 #include "hull/relaxed_hull.h"
 #include "sim/rng.h"
 #include "workload/generators.h"
@@ -16,16 +17,19 @@ TEST(MinimaxTest, ZeroWhenHullsIntersect) {
       {{1.0, 1.0}, {3.0, 1.0}, {1.0, 3.0}},
   };
   const auto r = min_max_hull_distance(sets, {5.0, 5.0});
-  EXPECT_LT(r.value, 1e-6);
+  EXPECT_LT(r.value, 1e-8);
+  EXPECT_TRUE(r.certified);
 }
 
 TEST(MinimaxTest, TwoPointsMidpoint) {
   // Two singleton hulls at distance 2: optimum is the midpoint, value 1.
   const std::vector<std::vector<Vec>> sets = {{{-1.0, 0.0}}, {{1.0, 0.0}}};
   const auto r = min_max_hull_distance(sets, {0.3, 0.7});
-  EXPECT_NEAR(r.value, 1.0, 1e-4);
-  EXPECT_NEAR(r.point[0], 0.0, 1e-3);
-  EXPECT_NEAR(r.point[1], 0.0, 1e-3);
+  EXPECT_TRUE(r.certified);
+  EXPECT_NEAR(r.value, 1.0, 1e-6);
+  EXPECT_LE(r.lower, r.value);
+  EXPECT_GE(r.lower, 1.0 - 1e-6);
+  EXPECT_NEAR(r.point[0], 0.0, 1e-6);
 }
 
 TEST(MinimaxTest, MatchesSimplexInradius) {
@@ -36,15 +40,12 @@ TEST(MinimaxTest, MatchesSimplexInradius) {
     const auto verts = workload::random_simplex(rng, d);
     const auto g = SimplexGeometry::build(verts);
     ASSERT_TRUE(g.has_value());
-    const auto r =
-        min_max_hull_distance(drop_f_subsets(verts, 1), mean(verts));
-    // Iterative accuracy: a few percent relative plus a small floor (the
-    // draw can be a nearly degenerate simplex with a tiny inradius).
-    EXPECT_NEAR(r.value, g->inradius(), g->inradius() * 0.05 + 2e-4)
+    const auto r = min_max_hull_distance(drop_f_subsets(verts, 1), mean(verts));
+    ASSERT_TRUE(r.certified) << "d=" << d << " rep=" << rep;
+    EXPECT_NEAR(r.value, g->inradius(), 1e-6 * g->inradius() + 1e-12)
         << "d=" << d << " rep=" << rep;
-    // The numerical value can never undercut the true optimum by more than
-    // solver noise.
-    EXPECT_GT(r.value, g->inradius() * 0.98 - 1e-9);
+    // The certified lower bound never exceeds the true optimum.
+    EXPECT_LE(r.lower, g->inradius() * (1.0 + 1e-9));
   }
 }
 
@@ -59,6 +60,7 @@ TEST(MinimaxTest, ValueIsUpperBoundAndAchievable) {
     actual = std::max(actual, project_to_hull(r.point, s).distance);
   }
   EXPECT_NEAR(r.value, actual, 1e-9);
+  EXPECT_LE(r.lower, r.value);
 }
 
 TEST(MinimaxTest, DeterministicForFixedInput) {
@@ -66,16 +68,21 @@ TEST(MinimaxTest, DeterministicForFixedInput) {
   const auto a = min_max_hull_distance(sets, {0.0, 0.0});
   const auto b = min_max_hull_distance(sets, {0.0, 0.0});
   EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.lower, b.lower);
   EXPECT_EQ(a.point, b.point);
 }
 
 TEST(MinimaxTest, RespectsIterationBudget) {
-  MinimaxOptions opts;
-  opts.iters = 5;
-  opts.polish_iters = 0;
-  const std::vector<std::vector<Vec>> sets = {{{-1.0, 0.0}}, {{1.0, 0.0}}};
-  const auto r = min_max_hull_distance(sets, {10.0, 10.0}, opts);
-  EXPECT_LE(r.evals, (5u + 2u) * sets.size());
+  // One master LP at most: each trial point costs one projection per set.
+  DeltaStarOptions opts;
+  opts.max_iters = 1;
+  Rng rng(117);
+  const auto pts = workload::gaussian_cloud(rng, 7, 5);
+  const auto sets = drop_f_subsets(pts, 2);
+  const auto r = min_max_hull_distance(sets, mean(pts), 2.0, opts);
+  EXPECT_LE(r.iters, 1u);
+  EXPECT_LE(r.evals, 2u * sets.size());
+  EXPECT_LE(r.lower, r.value);
 }
 
 TEST(MinimaxTest, EmptySetListThrows) {
