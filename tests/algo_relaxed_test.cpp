@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "consensus/verifier.h"
 #include "geometry/simplex_geometry.h"
 #include "workload/generators.h"
@@ -12,10 +15,17 @@
 namespace rbvc::consensus {
 namespace {
 
+using workload::SyncStrategy;
+
+// gtest names each case after the raw bytes of its parameter, so the slot
+// between the 32-bit strategy and the seed is an explicit zero rather than
+// indeterminate padding.
 struct AlgoCase {
   workload::SyncStrategy strategy;
+  std::uint32_t zero_pad = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<AlgoCase>);
 
 class AlgoStrategySweep : public ::testing::TestWithParam<AlgoCase> {};
 
@@ -48,12 +58,13 @@ TEST_P(AlgoStrategySweep, Thm9BoundHolds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Strategies, AlgoStrategySweep,
-    ::testing::Values(AlgoCase{workload::SyncStrategy::kSilent, 401},
-                      AlgoCase{workload::SyncStrategy::kEquivocate, 402},
-                      AlgoCase{workload::SyncStrategy::kLyingRelay, 403},
-                      AlgoCase{workload::SyncStrategy::kOutlierInput, 404},
-                      AlgoCase{workload::SyncStrategy::kEquivocate, 405},
-                      AlgoCase{workload::SyncStrategy::kOutlierInput, 406}),
+    ::testing::Values(
+        AlgoCase{.strategy = SyncStrategy::kSilent, .seed = 401},
+        AlgoCase{.strategy = SyncStrategy::kEquivocate, .seed = 402},
+        AlgoCase{.strategy = SyncStrategy::kLyingRelay, .seed = 403},
+        AlgoCase{.strategy = SyncStrategy::kOutlierInput, .seed = 404},
+        AlgoCase{.strategy = SyncStrategy::kEquivocate, .seed = 405},
+        AlgoCase{.strategy = SyncStrategy::kOutlierInput, .seed = 406}),
     [](const auto& info) {
       std::string name = workload::to_string(info.param.strategy);
       for (char& c : name) {

@@ -2,6 +2,9 @@
 // workload shapes -- the "fuzzing" layer on top of the targeted unit tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "consensus/verifier.h"
 #include "geometry/simplex_geometry.h"
 #include "harness/property.h"
@@ -51,12 +54,20 @@ INSTANTIATE_TEST_SUITE_P(
 // Sweep 2: relaxed hull containment chain over workload shapes.
 // --------------------------------------------------------------------------
 
-enum class Shape { kGaussian, kSphere, kClustered, kDegenerate };
+// gtest names each case after the raw bytes of its parameter, so ShapeSeed
+// must have no indeterminate padding: a 64-bit enum fills the slot before seed.
+enum class Shape : std::uint64_t {
+  kGaussian,
+  kSphere,
+  kClustered,
+  kDegenerate
+};
 
 struct ShapeSeed {
   Shape shape;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<ShapeSeed>);
 
 std::vector<Vec> make_shape(Shape shape, Rng& rng, std::size_t n,
                             std::size_t d) {
