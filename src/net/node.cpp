@@ -34,6 +34,14 @@ bool ConsensusNode::step(int timeout_ms) {
   auto m = t_.receive(timeout_ms);
   if (!m) return false;
   handle(std::move(*m));
+  for (std::size_t k = 1; k < kMaxBurst && !crashed_; ++k) {
+    m = t_.receive(0);
+    if (!m) break;
+    handle(std::move(*m));
+  }
+  // Sends made up to the crash point leave too: the node stops after
+  // them, as it did when each send went out on its own.
+  if (!out_.sent.empty()) t_.send_batch(std::exchange(out_.sent, {}));
   return true;
 }
 
@@ -70,6 +78,7 @@ void ConsensusNode::start_instance(int instance, const Message& propose) {
     return;
   }
   Instance& inst = instances_[instance];
+  if (inst.reported) return;  // the decision is already out
   inst.client = propose.from;
   if (inst.proc) return;  // duplicate propose
   ++stats_.proposed;
@@ -81,7 +90,7 @@ void ConsensusNode::start_instance(int instance, const Message& propose) {
                     static_cast<std::int64_t>(propose.from));
   inst.proc = std::make_unique<consensus::AsyncAveragingProcess>(
       params_.prm, t_.self(), propose.payload);
-  InstanceOutbox out(t_, instance);
+  InstanceOutbox out(out_, instance);
   const std::uint64_t lp0 = lp_total_ns();
   const std::uint64_t t0 = obs::events::now_ns();
   inst.proc->init(out);
@@ -102,6 +111,7 @@ void ConsensusNode::deliver(int instance, const Message& m) {
     return;
   }
   Instance& inst = instances_[instance];
+  if (inst.reported) return;  // a straggler after the decision
   if (!inst.proc) {
     inst.backlog.push_back(m);
     live_.backlogged.fetch_add(1, std::memory_order_relaxed);
@@ -109,8 +119,7 @@ void ConsensusNode::deliver(int instance, const Message& m) {
                       static_cast<std::int64_t>(inst.backlog.size()));
     return;
   }
-  if (inst.proc->decided()) return;
-  InstanceOutbox out(t_, instance);
+  InstanceOutbox out(out_, instance);
   const std::uint64_t lp0 = lp_total_ns();
   const std::uint64_t t0 = obs::events::now_ns();
   inst.proc->on_message(m, out);
@@ -122,7 +131,7 @@ void ConsensusNode::deliver(int instance, const Message& m) {
 
 void ConsensusNode::report_if_decided(int instance) {
   Instance& inst = instances_.at(instance);
-  if (!inst.proc->decided() || inst.reported) return;
+  if (inst.reported || !inst.proc->decided()) return;
   inst.reported = true;
   const bool ok = !inst.proc->failed();
   if (ok) {
@@ -142,7 +151,8 @@ void ConsensusNode::report_if_decided(int instance) {
   live_.last_decide_ns.store(decide_ns, std::memory_order_relaxed);
   Message reply("decided", {instance, ok ? 1 : 0},
                 ok ? inst.proc->decision() : Vec{});
-  t_.send(inst.client, std::move(reply));
+  out_.send(inst.client, std::move(reply));
+  inst.proc.reset();  // the backlog was freed when the propose replayed it
   if (params_.crash_after_decided != 0 &&
       stats_.decided + stats_.failed >= params_.crash_after_decided) {
     crashed_ = true;

@@ -35,14 +35,14 @@ namespace rbvc::net {
 /// transport carries many interleaved protocol instances.
 class InstanceOutbox final : public Outbox {
  public:
-  InstanceOutbox(Transport& t, int instance) : t_(t), instance_(instance) {}
+  InstanceOutbox(Outbox& out, int instance) : out_(out), instance_(instance) {}
   void send(ProcessId to, Message m) override {
     m.meta.insert(m.meta.begin(), instance_);
-    t_.send(to, std::move(m));
+    out_.send(to, std::move(m));
   }
 
  private:
-  Transport& t_;
+  Outbox& out_;
   int instance_;
 };
 
@@ -82,10 +82,16 @@ class ConsensusNode {
     std::atomic<bool> crashed{false};
   };
 
+  /// Most messages one step() handles. A fixed cap, so a flooding peer
+  /// cannot hold back this node's sends for long.
+  static constexpr std::size_t kMaxBurst = 64;
+
   ConsensusNode(Params params, Transport& t);
 
-  /// Handles one delivered message if any arrives within timeout_ms.
-  /// Returns false when nothing arrived (idle) or the node has crashed.
+  /// Handles the first message that arrives within timeout_ms, then every
+  /// message already waiting, up to kMaxBurst or the simulated crash
+  /// point; the burst's sends leave in one Transport::send_batch. Returns
+  /// false when nothing arrived (idle) or the node has crashed.
   bool step(int timeout_ms);
 
   /// Serves until `stop` becomes true or the simulated crash point; the
@@ -102,6 +108,8 @@ class ConsensusNode {
 
  private:
   struct Instance {
+    /// Freed once the decision is reported; from then on the instance
+    /// ignores every message, proposes included.
     std::unique_ptr<consensus::AsyncAveragingProcess> proc;
     std::vector<Message> backlog;  // arrived before the propose
     ProcessId client = 0;
@@ -117,6 +125,7 @@ class ConsensusNode {
 
   Params params_;
   Transport& t_;
+  CollectingOutbox out_;  // the current step's sends
   Stats stats_;
   LiveStatus live_;
   bool crashed_ = false;

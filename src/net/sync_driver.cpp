@@ -9,19 +9,6 @@
 #include "obs/events.h"
 
 namespace rbvc::net {
-namespace {
-
-/// Buffers the round body's sends so they can be round-tagged and pushed
-/// through the transport after the body returns (matching the sync engines,
-/// which also deliver a round's sends only after the round completes).
-struct CollectingOutbox final : Outbox {
-  std::vector<std::pair<ProcessId, Message>> sent;
-  void send(ProcessId to, Message m) override {
-    sent.emplace_back(to, std::move(m));
-  }
-};
-
-}  // namespace
 
 SyncDriverResult run_sync_over_transport(sim::SyncProcess& p, Transport& t,
                                          SyncDriverOptions opts) {
@@ -45,17 +32,20 @@ SyncDriverResult run_sync_over_transport(sim::SyncProcess& p, Transport& t,
     obs::events::emit(obs::events::Type::kRoundStart, static_cast<int>(r),
                       static_cast<std::int64_t>(inbox.size()));
 
+    // The round body's sends are collected, round-tagged and pushed after
+    // it returns (as the sync engines deliver a round's sends only after
+    // the round completes), with the end-of-round markers in one batch.
     CollectingOutbox out;
     p.round(r, inbox, out);
     ++res.rounds;
 
     for (auto& [to, m] : out.sent) {
       m.meta.insert(m.meta.begin(), static_cast<int>(r));
-      t.send(to, std::move(m));
     }
     for (ProcessId q = 0; q < n; ++q) {
-      t.send(q, Message("__eor", {static_cast<int>(r)}));
+      out.sent.emplace_back(q, Message("__eor", {static_cast<int>(r)}));
     }
+    t.send_batch(std::move(out.sent));
 
     // Barrier: collect EOR(r) from every endpoint (self included -- the
     // marker loops back through the transport like any other message).

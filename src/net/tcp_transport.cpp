@@ -357,7 +357,7 @@ void TcpTransport::adopt_connection(ProcessId peer, int fd, bool dialed) {
 
 void TcpTransport::drop_connection(ProcessId peer, int fd) {
   Conn& c = *conns_[peer];
-  // c.mu serializes against in-flight write_frame calls: the reader must
+  // c.mu serializes against in-flight write_all calls: the reader must
   // not ::close the fd while a writer's send is mid-syscall, or the kernel
   // could hand the fd number to a new connection under the writer.
   std::lock_guard<std::mutex> lk(c.mu);
@@ -408,52 +408,70 @@ void TcpTransport::reader_loop(int fd, ProcessId peer, std::string buf) {
 }
 
 void TcpTransport::send(ProcessId to, Message m) {
-  RBVC_REQUIRE(to < cluster_.size(), "tcp: send to unknown recipient");
-  obs::Registry& reg = obs::global();
-  m.from = self_;
-  m.to = to;
-  if (to == self_) {  // loopback: no socket round-trip
-    reg.counter("net.frames_sent").inc();
-    mailbox_.push(std::move(m));
-    return;
+  Batch one;
+  one.emplace_back(to, std::move(m));
+  send_batch(std::move(one));
+}
+
+void TcpTransport::send_batch(Batch batch) {
+  for (const auto& entry : batch) {
+    RBVC_REQUIRE(entry.first < cluster_.size(),
+                 "tcp: send to unknown recipient");
   }
-  // Tick-then-stamp makes every framed send a Lamport event: the receiver's
-  // merge guarantees its delivery (and everything after) orders later.
-  const int inst = instance_of(m);
-  const std::uint64_t clock = obs::events::lamport_tick();
-  obs::events::stamp_lamport(m.meta, clock);
-  const std::uint64_t t0 = obs::events::now_ns();
-  const std::string bytes = wire::frame_message(m);
-  const std::uint64_t encode_ns = obs::events::now_ns() - t0;
-  switch (write_frame(*conns_[to], bytes)) {
-    case WriteStatus::kOk:
+  obs::Registry& reg = obs::global();
+  // Each peer's frames, concatenated in call order: one write per peer.
+  std::vector<std::string> bytes(cluster_.size());
+  std::vector<std::size_t> frames(cluster_.size(), 0);
+  for (auto& [to, m] : batch) {
+    m.from = self_;
+    m.to = to;
+    if (to == self_) {  // loopback: no socket round-trip
       reg.counter("net.frames_sent").inc();
-      reg.counter("net.bytes_sent").inc(bytes.size());
-      obs::events::emit(obs::events::Type::kFrameTx, inst,
-                        static_cast<std::int64_t>(clock),
-                        static_cast<std::int64_t>(encode_ns));
-      return;
-    case WriteStatus::kTimeout:
+      mailbox_.push(std::move(m));
+      continue;
+    }
+    // Tick-then-stamp makes every framed send a Lamport event: the
+    // receiver's merge guarantees its delivery (and everything after)
+    // orders later. Stamps rise in call order within the batch.
+    const std::uint64_t clock = obs::events::lamport_tick();
+    obs::events::stamp_lamport(m.meta, clock);
+    const std::uint64_t t0 = obs::events::now_ns();
+    bytes[to] += wire::frame_message(m);
+    ++frames[to];
+    obs::events::emit(obs::events::Type::kFrameTx, instance_of(m),
+                      static_cast<std::int64_t>(clock),
+                      static_cast<std::int64_t>(obs::events::now_ns() - t0));
+  }
+  for (ProcessId to = 0; to < cluster_.size(); ++to) {
+    if (frames[to] == 0) continue;
+    const WriteStatus status = write_all(*conns_[to], bytes[to]);
+    if (status == WriteStatus::kOk) {
+      reg.counter("net.socket_writes").inc();
+      reg.counter("net.frames_sent").inc(frames[to]);
+      reg.counter("net.bytes_sent").inc(bytes[to].size());
+      continue;
+    }
+    if (status == WriteStatus::kTimeout) {
       // The peer was live but stopped draining its socket buffer; the
       // SO_SNDTIMEO hangup is worth its own counter because it means a
-      // stall, not a crash — then fall through to the ordinary drop.
+      // stall, not a crash — then the frames drop like any other.
       reg.counter("net.send_timeout_hangups").inc();
-      obs::events::emit(obs::events::Type::kSendTimeoutHangup, inst,
+      obs::events::emit(obs::events::Type::kSendTimeoutHangup, -1,
                         static_cast<std::int64_t>(to));
-      [[fallthrough]];
-    case WriteStatus::kDown:
-    case WriteStatus::kError:
-      // Crash-fault behavior: a down peer loses messages; the protocols
-      // tolerate up to f such peers, and the dialer keeps retrying.
-      reg.counter("net.send_drops").inc();
-      obs::events::emit(obs::events::Type::kSendDrop, inst,
+    }
+    // Crash-fault behavior: a down peer loses messages; the protocols
+    // tolerate up to f such peers, and the dialer keeps retrying.
+    reg.counter("net.send_drops").inc(frames[to]);
+    for (const auto& [peer, m] : batch) {
+      if (peer != to) continue;
+      obs::events::emit(obs::events::Type::kSendDrop, instance_of(m),
                         static_cast<std::int64_t>(to));
-      return;
+    }
   }
 }
 
-TcpTransport::WriteStatus TcpTransport::write_frame(Conn& c,
-                                                    const std::string& bytes) {
+TcpTransport::WriteStatus TcpTransport::write_all(Conn& c,
+                                                  const std::string& bytes) {
   std::lock_guard<std::mutex> lk(c.mu);
   const int fd = c.fd.load(std::memory_order_acquire);
   if (fd < 0) return WriteStatus::kDown;

@@ -8,9 +8,11 @@
 // accept side reads the hello on a per-connection thread under a receive
 // timeout (a silent client cannot wedge the acceptor), and any message
 // bytes that arrived coalesced with the hello are carried into the reader
-// loop, which decodes frames into the endpoint's lock-free mailbox. send()
-// writes frames under a per-connection mutex with a send timeout, so a
-// stalled peer is hung up on instead of blocking every sender.
+// loop, which decodes frames into the endpoint's lock-free mailbox.
+// send_batch() concatenates a batch's frames per peer and writes each
+// peer's bytes in one pass under a per-connection mutex with a send
+// timeout, so a stalled peer is hung up on instead of blocking every
+// sender; send() is a batch of one.
 //
 // Failure model: a peer that is down gets its sends dropped (counted as
 // net.send_drops) -- exactly the crash-fault behavior the protocols
@@ -26,10 +28,10 @@
 // and an unstamped peer simply does not merge -- wire format unchanged.
 //
 // Observability (docs/OBSERVABILITY.md): net.frames_sent/_received,
-// net.bytes_sent/_received, net.connects, net.reconnects, net.send_drops,
-// net.handshake_timeouts, net.send_timeout_hangups, net.wire_errors,
-// net.queue_depth, plus flight-recorder events (connect/hangup/frame_tx/
-// frame_rx/queue_pop/...).
+// net.bytes_sent/_received, net.socket_writes, net.connects,
+// net.reconnects, net.send_drops, net.handshake_timeouts,
+// net.send_timeout_hangups, net.wire_errors, net.queue_depth, plus
+// flight-recorder events (connect/hangup/frame_tx/frame_rx/queue_pop/...).
 #pragma once
 
 #include <atomic>
@@ -83,7 +85,11 @@ class TcpTransport final : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
+  /// send_batch() of the one message.
   void send(ProcessId to, Message m) override;
+  /// Stamps and frames each message in call order, then writes each
+  /// peer's frames with one locked write (loopback skips the socket).
+  void send_batch(Batch batch) override;
   std::optional<Message> receive(int timeout_ms) override;
   ProcessId self() const override { return self_; }
   std::size_t size() const override { return cluster_.size(); }
@@ -130,10 +136,11 @@ class TcpTransport final : public Transport {
   void adopt_connection(ProcessId peer, int fd, bool dialed);
   void drop_connection(ProcessId peer, int fd);
   void unregister_handshake(int fd);
-  /// Why a framed write did not complete; send() maps kTimeout to the
+  /// Why a write did not complete; send_batch() maps kTimeout to the
   /// net.send_timeout_hangups counter (the peer was live but stalled).
   enum class WriteStatus { kOk, kDown, kTimeout, kError };
-  WriteStatus write_frame(Conn& c, const std::string& bytes);
+  /// Writes all of `bytes` (one or more whole frames) under c.mu.
+  WriteStatus write_all(Conn& c, const std::string& bytes);
 
   ProcessId self_;
   std::vector<HostPort> cluster_;

@@ -21,6 +21,8 @@
 #pragma once
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "sim/message.h"
 
@@ -31,6 +33,18 @@ using sim::Outbox;
 using sim::ProcessId;
 
 class Transport;
+
+/// Messages addressed to their recipients, in send order.
+using Batch = std::vector<std::pair<ProcessId, Message>>;
+
+/// Send channel that only records: hosting runtimes hand it to protocol
+/// code and push the collected sends through one Transport::send_batch.
+struct CollectingOutbox final : Outbox {
+  Batch sent;
+  void send(ProcessId to, Message m) override {
+    sent.emplace_back(to, std::move(m));
+  }
+};
 
 /// Delivery-callback consumer: the push-mode variant of the receive API.
 /// Sim engines invoke it per scheduled delivery; pull-based transports
@@ -58,6 +72,13 @@ class Transport : public Outbox {
 
   /// Cluster size n (endpoints a send() may address).
   virtual std::size_t size() const = 0;
+
+  /// Sends every message of `batch` as send() would, in order. A transport
+  /// may coalesce the batch's frames to one peer into one write; per-peer
+  /// order is the batch order either way. The default is a send() loop.
+  virtual void send_batch(Batch batch) {
+    for (auto& [to, m] : batch) send(to, std::move(m));
+  }
 
   /// True once the transport can no longer deliver (peer shutdown /
   /// close()); receive() then returns nullopt immediately.

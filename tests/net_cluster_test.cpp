@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -22,12 +23,15 @@
 #include "net/tcp_transport.h"
 #include "obs/events.h"
 #include "protocols/dolev_strong.h"
+#include "sim/rng.h"
 #include "sim/sync_engine.h"
+#include "workload/generators.h"
 
 namespace {
 
 using rbvc::Vec;
 using rbvc::consensus::AlgoProcess;
+using rbvc::net::Batch;
 using rbvc::net::ClusterClient;
 using rbvc::net::ConsensusNode;
 using rbvc::net::LoadOptions;
@@ -37,6 +41,7 @@ using rbvc::net::Transport;
 using rbvc::net::run_pipelined_load;
 using rbvc::net::run_sync_over_transport;
 using rbvc::protocols::DolevStrongProcess;
+using rbvc::sim::Message;
 using rbvc::sim::ProcessId;
 
 ConsensusNode::Params node_params(std::size_t n, std::size_t f) {
@@ -53,7 +58,10 @@ struct NodeFleet {
   std::vector<std::thread> threads;
 
   void add(ConsensusNode::Params params, Transport& t) {
-    nodes.push_back(std::make_unique<ConsensusNode>(params, t));
+    start(std::make_unique<ConsensusNode>(params, t));
+  }
+  void start(std::unique_ptr<ConsensusNode> node) {
+    nodes.push_back(std::move(node));
     threads.emplace_back([this, node = nodes.back().get()] {
       node->serve(stop);
     });
@@ -147,6 +155,117 @@ TEST(ClusterTest, CrashFaultedNodeDoesNotStallTheCluster) {
   EXPECT_EQ(res.decided, opt.instances);
   fleet.shutdown();
   EXPECT_TRUE(fleet.nodes[3]->crashed());
+}
+
+// Forwards to an endpoint and watches what its node does once crashed:
+// every message receive() returns is one the node goes on to handle.
+class CrashProbe final : public Transport {
+ public:
+  explicit CrashProbe(Transport& inner) : inner_(inner) {}
+
+  void send(ProcessId to, Message m) override { inner_.send(to, std::move(m)); }
+  void send_batch(Batch batch) override {
+    if (node->crashed()) {
+      ++batches_after_crash;
+      for (const auto& [to, m] : batch) {
+        if (m.kind == "decided") ++replies_after_crash;
+      }
+    }
+    inner_.send_batch(std::move(batch));
+  }
+  std::optional<Message> receive(int timeout_ms) override {
+    auto m = inner_.receive(timeout_ms);
+    if (m && node->crashed()) ++received_after_crash;
+    return m;
+  }
+  ProcessId self() const override { return inner_.self(); }
+  std::size_t size() const override { return inner_.size(); }
+
+  // Set before the node serves; the counters are read after it stops.
+  const ConsensusNode* node = nullptr;
+  std::size_t batches_after_crash = 0;
+  std::size_t replies_after_crash = 0;
+  std::size_t received_after_crash = 0;
+
+ private:
+  Transport& inner_;
+};
+
+// The step that reaches the crash point ends its burst there, yet still
+// sends what it produced up to that point, the "decided" reply included.
+TEST(ClusterTest, CrashPointEndsTheBurstAfterItsReplyIsSent) {
+  constexpr std::size_t kN = 4, kInstances = 6;
+  LocalBus bus(kN + 1);
+  NodeFleet fleet;
+  for (ProcessId id = 0; id + 1 < kN; ++id) {
+    fleet.add(node_params(kN, 1), bus.endpoint(id));
+  }
+  CrashProbe probe(bus.endpoint(kN - 1));
+  auto params = node_params(kN, 1);
+  params.crash_after_decided = 1;
+  auto crashing = std::make_unique<ConsensusNode>(params, probe);
+  probe.node = crashing.get();
+  fleet.start(std::move(crashing));
+
+  // Every instance in flight at once, so the crashing node's queue holds
+  // other instances' traffic behind its crash point.
+  ClusterClient client(bus.endpoint(kN), kN);
+  rbvc::Rng rng(17);
+  for (int i = 0; i < static_cast<int>(kInstances); ++i) {
+    client.propose(i, rbvc::workload::gaussian_cloud(rng, kN, 2));
+  }
+  std::size_t from_live = 0, from_crashed = 0;
+  while (from_live < (kN - 1) * kInstances || from_crashed == 0) {
+    auto ev = client.next_decision(30000);
+    ASSERT_TRUE(ev.has_value()) << "no reply from the crashing node";
+    ++(ev->node == kN - 1 ? from_crashed : from_live);
+  }
+  while (client.next_decision(200)) ++from_crashed;
+  fleet.shutdown();
+
+  const ConsensusNode& node = *fleet.nodes[kN - 1];
+  ASSERT_TRUE(node.crashed());
+  EXPECT_EQ(node.stats().decided + node.stats().failed, 1u);
+  EXPECT_EQ(from_crashed, 1u);
+  EXPECT_EQ(probe.batches_after_crash, 1u);
+  EXPECT_EQ(probe.replies_after_crash, 1u);
+  EXPECT_EQ(probe.received_after_crash, 0u);
+}
+
+// Once its decision is reported, an instance's protocol state is freed: a
+// late propose must not restart it and a straggler must not be backlogged.
+TEST(ClusterTest, ReportedInstanceIgnoresLateProposeAndStragglers) {
+  constexpr std::size_t kN = 4;
+  LocalBus bus(kN + 1);
+  NodeFleet fleet;
+  for (ProcessId id = 0; id < kN; ++id) {
+    fleet.add(node_params(kN, 1), bus.endpoint(id));
+  }
+  ClusterClient client(bus.endpoint(kN), kN);
+  client.propose(0, {{0.1, 0.2}, {0.9, 0.4}, {0.3, 0.8}, {0.6, 0.6}});
+  for (std::size_t k = 0; k < kN; ++k) {
+    ASSERT_TRUE(client.next_decision(30000).has_value()) << "cluster stalled";
+  }
+  const auto& live = fleet.nodes[0]->live();
+  const auto backlogged = live.backlogged.load();
+  const auto dropped = live.dropped.load();
+
+  Transport& raw = bus.endpoint(kN);
+  raw.send(0, Message("propose", {0}, Vec{5.0, 5.0}));
+  raw.send(0, Message("rbc", {0, 0, 0, 0}, Vec{5.0, 5.0}));
+  raw.send(0, Message("decided", {}));  // dropped: marks the two as handled
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (live.dropped.load() == dropped &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(live.dropped.load(), dropped + 1);
+  EXPECT_EQ(live.proposed.load(), 1u);
+  EXPECT_EQ(live.backlogged.load(), backlogged);
+  EXPECT_FALSE(client.next_decision(200).has_value());
+  fleet.shutdown();
+  EXPECT_EQ(fleet.nodes[0]->stats().decided, 1u);
 }
 
 TEST(ClusterTest, PipelinedInstancesOverTcp) {

@@ -1,6 +1,7 @@
-// TcpTransport: mesh establishment on loopback, framed delivery, protocol
-// traffic over real sockets, crash (send-to-dead-peer) behavior, handshake
-// edge cases driven by raw client sockets, and cluster-string parsing.
+// TcpTransport: mesh establishment on loopback, framed delivery, batched
+// sends, protocol traffic over real sockets, crash (send-to-dead-peer)
+// behavior, handshake edge cases driven by raw client sockets, and
+// cluster-string parsing.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +18,14 @@
 
 #include "net/tcp_transport.h"
 #include "net/wire.h"
+#include "obs/events.h"
+#include "obs/metrics.h"
 #include "protocols/bracha_rbc.h"
 
 namespace {
 
 using rbvc::Vec;
+using rbvc::net::Batch;
 using rbvc::net::HostPort;
 using rbvc::net::TcpOptions;
 using rbvc::net::TcpTransport;
@@ -69,6 +73,10 @@ std::string hello_frame(std::uint64_t id) {
     body.push_back(static_cast<char>((id >> (8 * i)) & 0xFF));
   }
   return wire::frame(wire::FrameType::kHello, body);
+}
+
+std::uint64_t counter(const char* name) {
+  return rbvc::obs::global().counter(name).value();
 }
 
 void send_all(int fd, const std::string& bytes) {
@@ -166,6 +174,120 @@ TEST(TcpTransportTest, SendToDeadPeerDropsInsteadOfBlocking) {
   auto m = cluster[1]->receive(10000);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->kind, "alive");
+}
+
+// One batch interleaving three peers, each peer's share many times the
+// reader's recv buffer: every peer gets its frames intact and in call
+// order, from one socket write per peer.
+TEST(TcpTransportTest, BatchToThreePeersArrivesInPerPeerCallOrder) {
+  TcpOptions opts;
+  opts.io_buffer_bytes = 1024;
+  auto cluster = TcpTransport::make_local_cluster(4, opts);
+  for (auto& t : cluster) ASSERT_EQ(t->wait_connected(3, 10000), 3u);
+  constexpr int kPerPeer = 100;
+  Batch batch;
+  for (int i = 0; i < kPerPeer; ++i) {
+    for (ProcessId to = 1; to <= 3; ++to) {
+      batch.emplace_back(to, Message("batched", {i, static_cast<int>(to)},
+                                     Vec(32, 0.25 * i)));
+    }
+  }
+  const std::uint64_t writes0 = counter("net.socket_writes");
+  const std::uint64_t frames0 = counter("net.frames_sent");
+  cluster[0]->send_batch(std::move(batch));
+  EXPECT_EQ(counter("net.socket_writes") - writes0, 3u);
+  EXPECT_EQ(counter("net.frames_sent") - frames0, 3u * kPerPeer);
+  for (ProcessId to = 1; to <= 3; ++to) {
+    for (int i = 0; i < kPerPeer; ++i) {
+      auto m = cluster[to]->receive(10000);
+      ASSERT_TRUE(m.has_value()) << "peer " << to << " frame " << i;
+      EXPECT_EQ(m->from, 0u);
+      EXPECT_EQ(m->to, to);
+      EXPECT_EQ(m->meta, (std::vector<int>{i, static_cast<int>(to)}));
+      EXPECT_EQ(m->payload, Vec(32, 0.25 * i));
+    }
+    EXPECT_FALSE(cluster[to]->receive(0).has_value());
+  }
+  for (auto& t : cluster) t->close();
+}
+
+TEST(TcpTransportTest, SendAndSendBatchKeepCallOrderOnOneConnection) {
+  auto cluster = TcpTransport::make_local_cluster(2);
+  ASSERT_EQ(cluster[0]->wait_connected(1, 10000), 1u);
+  int next = 0;
+  auto batch_of = [&next](int k) {
+    Batch b;
+    for (int i = 0; i < k; ++i) b.emplace_back(1, Message("order", {next++}));
+    return b;
+  };
+  cluster[0]->send(1, Message("order", {next++}));
+  cluster[0]->send_batch(batch_of(2));
+  cluster[0]->send(1, Message("order", {next++}));
+  cluster[0]->send_batch(batch_of(3));
+  cluster[0]->send(1, Message("order", {next++}));
+  for (int i = 0; i < next; ++i) {
+    auto m = cluster[1]->receive(10000);
+    ASSERT_TRUE(m.has_value()) << "message " << i;
+    EXPECT_EQ(m->meta, std::vector<int>{i});
+  }
+  for (auto& t : cluster) t->close();
+}
+
+TEST(TcpTransportTest, BatchToDownPeerCountsOneDropPerFrame) {
+  auto cluster = TcpTransport::make_local_cluster(3);
+  for (auto& t : cluster) ASSERT_EQ(t->wait_connected(2, 10000), 2u);
+  cluster[2]->close();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cluster[0]->connected() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(cluster[0]->connected(), 1u) << "the hangup was never seen";
+  const std::uint64_t drops0 = counter("net.send_drops");
+  const std::uint64_t writes0 = counter("net.socket_writes");
+  Batch batch;
+  for (int i = 0; i < 5; ++i) {
+    batch.emplace_back(2, Message("into-the-void", {i}));
+    if (i == 2) batch.emplace_back(1, Message("alive"));
+  }
+  cluster[0]->send_batch(std::move(batch));
+  EXPECT_EQ(counter("net.send_drops") - drops0, 5u);
+  EXPECT_EQ(counter("net.socket_writes") - writes0, 1u);
+  auto m = cluster[1]->receive(10000);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->kind, "alive");
+  for (auto& t : cluster) t->close();
+}
+
+// Each frame of a batch is its own Lamport event: the stamps the receiver
+// strips rise in call order and match the sender's frame_tx events.
+TEST(TcpTransportTest, LamportStampsRiseWithinABatch) {
+  namespace ev = rbvc::obs::events;
+  constexpr int kBase = 91000, kFrames = 8;
+  auto cluster = TcpTransport::make_local_cluster(2);
+  ASSERT_EQ(cluster[0]->wait_connected(1, 10000), 1u);
+  Batch batch;
+  for (int i = 0; i < kFrames; ++i) {
+    batch.emplace_back(1, Message("stamped", {kBase + i}));
+  }
+  cluster[0]->send_batch(std::move(batch));
+  for (int i = 0; i < kFrames; ++i) {
+    auto m = cluster[1]->receive(10000);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->meta, std::vector<int>{kBase + i});  // stamp stripped
+  }
+  std::vector<std::int64_t> tx(kFrames, 0), rx(kFrames, 0);
+  for (const ev::Event& e : ev::snapshot()) {
+    const int i = e.instance - kBase;
+    if (i < 0 || i >= kFrames) continue;
+    if (e.type == ev::Type::kFrameTx) tx[i] = e.a;
+    if (e.type == ev::Type::kFrameRx) rx[i] = e.a;
+  }
+  EXPECT_EQ(rx, tx);
+  EXPECT_GT(tx[0], 0);
+  for (int i = 1; i < kFrames; ++i) EXPECT_GT(tx[i], tx[i - 1]) << i;
+  for (auto& t : cluster) t->close();
 }
 
 // A dialer pipelines message frames right behind its hello; when the
