@@ -83,8 +83,12 @@ class ConsensusNode {
   };
 
   /// Most messages one step() handles. A fixed cap, so a flooding peer
-  /// cannot hold back this node's sends for long.
-  static constexpr std::size_t kMaxBurst = 64;
+  /// cannot hold back this node's sends for long. It is kept small because
+  /// the burst's sends wait for its end: on a CPU-saturated host a node
+  /// that falls behind would otherwise answer later with every burst,
+  /// drop out of its peers' quorums for good, and leave the views (and so
+  /// the decisions) to whichever nodes the scheduler happened to favour.
+  static constexpr std::size_t kMaxBurst = 16;
 
   ConsensusNode(Params params, Transport& t);
 
